@@ -20,8 +20,10 @@ the bound's piece is answered by a vectorised filter scan instead of a
 split, so the cracker index stops fragmenting once pieces reach the
 cut-off while the answer stays exact.
 
-Updates append to a pending area that is merged piece-wise on the next
-query (the "updates" future-work item of §7, implemented as an extension).
+Updates append to a pending area that the next query merges into the
+pieces in place (the "updates" future-work item of §7, implemented as an
+extension): deletes and updates carry each row's pre-image, so the merge
+finds rows through the index and moves only tuples at piece edges.
 """
 
 from __future__ import annotations
@@ -52,6 +54,56 @@ KERNEL_VECTORISED = "vectorised"
 KERNEL_REBUILD = "rebuild"
 KERNEL_SWAPS = "swaps"
 _KERNELS = (KERNEL_VECTORISED, KERNEL_REBUILD, KERNEL_SWAPS)
+
+#: Row states of ``CrackedColumn._state``, indexed by oid: unknown to the
+#: column, stored, stored with a pending removal, or pending insert.
+_ABSENT, _STORED, _REMOVING, _PENDING = 0, 1, 2, 3
+
+
+def _flat(chunks: list[np.ndarray], dtype) -> np.ndarray:
+    """One array holding a pending buffer's chunks."""
+    return np.concatenate(chunks) if chunks else np.empty(0, dtype=dtype)
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the ranges ``[lo[i], hi[i])`` concatenated, and the
+    ``i`` of each; empty or inverted ranges contribute nothing."""
+    lengths = np.maximum(hi - lo, 0)
+    which = np.repeat(np.arange(len(lo)), lengths)
+    offsets = np.cumsum(lengths) - lengths
+    return np.arange(len(which)) + (lo - offsets)[which], which
+
+
+def _purge(value_chunks: list, oid_chunks: list, oids: np.ndarray) -> int:
+    """Drop ``oids`` from a pending buffer in place; returns the count dropped."""
+    if not len(oids):
+        return 0
+    dropped = 0
+    kept_values, kept_oids = [], []
+    for values, chunk_oids in zip(value_chunks, oid_chunks):
+        keep = ~np.isin(chunk_oids, oids)
+        dropped += len(chunk_oids) - int(np.count_nonzero(keep))
+        if keep.any():
+            kept_values.append(values[keep])
+            kept_oids.append(chunk_oids[keep])
+    value_chunks[:] = kept_values
+    oid_chunks[:] = kept_oids
+    return dropped
+
+
+def _rewrite(
+    value_chunks: list, oid_chunks: list, oids: np.ndarray, values: np.ndarray
+) -> int:
+    """Overwrite the buffered values of ``oids`` (sorted, unique) in place;
+    returns how many of ``oids`` the buffer held."""
+    if not len(oids):
+        return 0
+    held = 0
+    for chunk_values, chunk_oids in zip(value_chunks, oid_chunks):
+        at = np.flatnonzero(np.isin(chunk_oids, oids))
+        chunk_values[at] = values[np.searchsorted(oids, chunk_oids[at])]
+        held += len(at)
+    return held
 
 
 @dataclass
@@ -86,11 +138,11 @@ class SelectionResult:
         return len(self.oids)
 
     def snapshot(self) -> "SelectionResult":
-        """A stable view, immune to later in-place cracks.
+        """A stable view, immune to later in-place cracks and merges.
 
         The concurrent SQL layer takes one before releasing a column or
         shard lock: zero-copy answers are views into cracker storage,
-        which the next crack would shuffle underneath the holder.
+        which the next crack or merge would shuffle underneath the holder.
 
         The copy is paid *on demand*, not here:
 
@@ -98,7 +150,7 @@ class SelectionResult:
           so it is returned as-is — no copy ever;
         * a contiguous span produced by a known column registers itself
           with that column, which retires (copies) its storage arrays
-          just before the next in-place crack *if* any registered
+          just before the next in-place crack or merge *if* any registered
           snapshot is still alive.  Converged workloads — the sustained
           phase, where cracks no longer happen — therefore never copy.
 
@@ -226,24 +278,37 @@ class CrackedColumn:
         self.kernel = kernel
         self.crack_in_three_enabled = crack_in_three_enabled
         self.crack_threshold = crack_threshold
-        self.values = values
-        self.oids = oids
+        # Storage is the [:n] view of buffers with spare room, so a merge
+        # grows the column in place (see _resize).
+        self._buffer_values = values
+        self._buffer_oids = oids
+        self._resize(len(values))
         self.index = CrackerIndex(len(self.values))
         self.crack_stats = CrackStats()
         self.query_stats = QueryStats()
+        #: Tuples merges have physically moved (gathered or scattered).
+        self.merge_moved = 0
         self._pending_values: list[np.ndarray] = []
         self._pending_oids: list[np.ndarray] = []
-        # DML buffers (the "updating a cracked database" follow-up):
-        # deletes and updates queue here and are merged out of the cracked
-        # pieces by the next query, exactly like pending inserts merge in.
-        self._pending_delete_oids: list[np.ndarray] = []
+        # DML buffers (the "updating a cracked database" follow-up): a
+        # DELETE or UPDATE of a stored row queues its oid with its
+        # pre-image, the value storage still holds, so the merge finds
+        # the row through the index; an UPDATE also queues the new
+        # value, which the merge inserts under the same oid.
+        self._removal_oids: list[np.ndarray] = []
+        self._removal_values: list[np.ndarray] = []
         self._pending_update_oids: list[np.ndarray] = []
         self._pending_update_values: list[np.ndarray] = []
         self._next_oid = int(self.oids.max()) + 1 if len(self.oids) else 0
+        # Row state by oid, so DML membership costs O(k), not a pass over
+        # storage, and a DML call scans a pending buffer only for oids
+        # that sit in it.
+        self._state = np.zeros(self._next_oid, dtype=np.int8)
+        self._state[self.oids] = _STORED
         # Weak references to live zero-copy snapshots (and their
         # handed-out view arrays); storage is retired — copied — before
-        # the next in-place crack while any is still referenced.  A
-        # plain ref list, not a WeakSet: neither dataclass results nor
+        # the next in-place crack or merge while any is still referenced.
+        # A plain ref list, not a WeakSet: neither dataclass results nor
         # ndarrays are hashable.  See snapshot().
         self._live_snapshot_refs: list[weakref.ref] = []
         # Optional per-column introspection (lineage/workload profiler).
@@ -264,7 +329,8 @@ class CrackedColumn:
 
     @property
     def pending_delete_count(self) -> int:
-        return sum(len(chunk) for chunk in self._pending_delete_oids)
+        removals = sum(len(chunk) for chunk in self._removal_oids)
+        return removals - self.pending_update_count
 
     @property
     def pending_update_count(self) -> int:
@@ -272,11 +338,7 @@ class CrackedColumn:
 
     @property
     def has_pending(self) -> bool:
-        return bool(
-            self._pending_values
-            or self._pending_delete_oids
-            or self._pending_update_oids
-        )
+        return bool(self._pending_values or self._removal_oids)
 
     def observability(self) -> dict:
         """One flat dict of this column's crack/query/pending accounting.
@@ -284,8 +346,8 @@ class CrackedColumn:
         The per-column sample the observability layer exports (through
         ``Database.stats()`` and the metrics registry's collectors):
         piece count and size distribution, cumulative crack work, query
-        counters and the depths of the three pending buffers.  Caller
-        holds whatever lock guards this column.
+        counters, tuples moved by merges and the depths of the three
+        pending buffers.  Caller holds whatever lock guards this column.
         """
         sizes = self.index.piece_sizes()
         return {
@@ -298,6 +360,7 @@ class CrackedColumn:
             "pieces_inspected": self.query_stats.pieces_inspected,
             "tuples_scanned": self.query_stats.tuples_scanned,
             "merged_updates": self.query_stats.merged_updates,
+            "merge_moved": self.merge_moved,
             "pending_inserts": self.pending_count,
             "pending_deletes": self.pending_delete_count,
             "pending_updates": self.pending_update_count,
@@ -327,21 +390,38 @@ class CrackedColumn:
         """Retire current storage if any registered snapshot is alive.
 
         Called (under the caller's column/shard lock) immediately before
-        an in-place crack kernel runs.  Copying the storage arrays and
-        installing the copies makes the retired generation immutable:
-        every outstanding view — including views numpy re-based onto the
-        old root array — stays valid forever, and the kernel shuffles
-        only the fresh generation.  When no snapshot survives (the
-        common case: results are consumed within their statement), this
-        is an empty-list check and no copy happens.
+        an in-place crack kernel or merge runs.  Copying the storage
+        buffers and installing the copies makes the retired generation
+        immutable: every outstanding view — including views numpy
+        re-based onto the old root array — stays valid forever, and the
+        kernel shuffles only the fresh generation.  When no snapshot
+        survives (the common case: results are consumed within their
+        statement), this is an empty-list check and no copy happens.
         """
         refs = self._live_snapshot_refs
         if not refs:
             return
         if any(ref() is not None for ref in refs):
-            self.values = self.values.copy()
-            self.oids = self.oids.copy()
+            self._reallocate(len(self._buffer_values))
         self._live_snapshot_refs = []
+
+    def _reallocate(self, capacity: int) -> None:
+        """Move storage into fresh buffers of ``capacity`` slots."""
+        size = len(self.values)
+        for name in ("values", "oids"):
+            fresh = np.empty(capacity, dtype=getattr(self, name).dtype)
+            fresh[:size] = getattr(self, name)
+            setattr(self, f"_buffer_{name}", fresh)
+            setattr(self, name, fresh[:size])
+
+    def _resize(self, size: int) -> None:
+        """Make storage the first ``size`` buffer slots, doubling the
+        buffers (as :meth:`CrackerIndex._grow` does) when they are full."""
+        capacity = len(self._buffer_values)
+        if size > capacity:
+            self._reallocate(max(size, 2 * capacity))
+        self.values = self._buffer_values[:size]
+        self.oids = self._buffer_oids[:size]
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -542,102 +622,109 @@ class CrackedColumn:
             self._pending_values.append(values)
             self._pending_oids.append(oids)
             self._next_oid = max(self._next_oid, int(oids.max()) + 1)
+            self._set_state(oids, _PENDING)
         return oids
 
-    def delete(self, oids) -> int:
+    def delete(self, oids, old_values) -> int:
         """Queue deletions by oid; rows vanish from the next query on.
 
-        Oids still sitting in the pending-insert (or pending-update)
-        buffers are resolved eagerly — they never reach the cracked
-        pieces; oids already merged into storage are buffered and merged
-        out piece-wise by the next query.  Returns the count applied.
+        ``old_values`` holds each row's current value, aligned with
+        ``oids``.  Oids still in the pending-insert or pending-update
+        buffers are resolved eagerly; a stored row is queued with its
+        pre-image, which the merge uses to find it through the index.
+        Returns the count of live rows removed.
         """
-        oids = np.unique(np.asarray(oids, dtype=np.int64))
-        if oids.size == 0:
-            return 0
-        applied = 0
-        # Eager: a pending insert of a now-deleted row simply disappears.
-        if self._pending_values:
-            kept_values, kept_oids = [], []
-            for values, chunk_oids in zip(self._pending_values, self._pending_oids):
-                keep = ~np.isin(chunk_oids, oids)
-                applied += int(len(chunk_oids) - keep.sum())
-                if keep.all():
-                    kept_values.append(values)
-                    kept_oids.append(chunk_oids)
-                elif keep.any():
-                    kept_values.append(values[keep])
-                    kept_oids.append(chunk_oids[keep])
-            self._pending_values = kept_values
-            self._pending_oids = kept_oids
-        # Eager: a pending update of a deleted row is moot.
-        if self._pending_update_oids:
-            kept_values, kept_oids = [], []
-            for values, chunk_oids in zip(
-                self._pending_update_values, self._pending_update_oids
-            ):
-                keep = ~np.isin(chunk_oids, oids)
-                if keep.all():
-                    kept_values.append(values)
-                    kept_oids.append(chunk_oids)
-                elif keep.any():
-                    kept_values.append(values[keep])
-                    kept_oids.append(chunk_oids[keep])
-            self._pending_update_values = kept_values
-            self._pending_update_oids = kept_oids
-        in_storage = oids[np.isin(oids, self.oids)]
-        if in_storage.size:
-            self._pending_delete_oids.append(in_storage)
-            applied += int(in_storage.size)
-        return applied
+        oids = np.asarray(oids, dtype=np.int64)
+        old_values = np.asarray(old_values, dtype=self.values.dtype)
+        if len(oids) != len(old_values):
+            raise CrackError(
+                f"delete got {len(oids)} oids but {len(old_values)} old values"
+            )
+        oids, first = np.unique(oids, return_index=True)
+        states = self._states(oids)
+        pending = oids[states == _PENDING]
+        applied = _purge(self._pending_values, self._pending_oids, pending)
+        self._state[pending] = _ABSENT
+        applied += _purge(
+            self._pending_update_values,
+            self._pending_update_oids,
+            oids[states == _REMOVING],
+        )
+        stored = states == _STORED
+        self._queue_removal(oids[stored], old_values[first][stored])
+        return applied + int(np.count_nonzero(stored))
 
-    def update(self, oids, values) -> int:
+    def update(self, oids, values, old_values) -> int:
         """Queue value rewrites by oid (last write wins per oid).
 
-        Rows still in the pending-insert buffer are rewritten in place;
-        rows already in storage are buffered and physically moved to
-        their new piece at the next merge (remove + re-insert under the
-        same oid).  Returns the count applied.
+        ``old_values`` holds each row's current value, aligned with
+        ``oids``.  Rows still in the pending-insert or pending-update
+        buffers are rewritten in place; a stored row is queued for
+        removal with its pre-image and its new value is inserted under
+        the same oid at the next merge.  Returns the count of distinct
+        rows rewritten.
         """
         oids = np.asarray(oids, dtype=np.int64)
         values = np.asarray(values, dtype=self.values.dtype)
-        if len(oids) != len(values):
+        old_values = np.asarray(old_values, dtype=self.values.dtype)
+        if not len(oids) == len(values) == len(old_values):
             raise CrackError(
-                f"update got {len(oids)} oids but {len(values)} values"
+                f"update got {len(oids)} oids, {len(values)} values and "
+                f"{len(old_values)} old values"
             )
-        if oids.size == 0:
-            return 0
-        applied = 0
-        remaining = np.ones(len(oids), dtype=bool)
-        # Eager: rewrite rows that are still waiting in the insert buffer.
-        if self._pending_values:
-            for chunk_values, chunk_oids in zip(
-                self._pending_values, self._pending_oids
-            ):
-                chunk_pos = np.flatnonzero(np.isin(chunk_oids, oids))
-                if chunk_pos.size == 0:
-                    continue
-                # Map each hit back to its (last) slot in the request.
-                order = np.argsort(oids, kind="stable")
-                located = np.searchsorted(oids[order], chunk_oids[chunk_pos])
-                chunk_values[chunk_pos] = values[order][located]
-                applied += int(chunk_pos.size)
-                remaining &= ~np.isin(oids, chunk_oids[chunk_pos])
-        oids = oids[remaining]
-        values = values[remaining]
-        in_storage = np.isin(oids, self.oids)
-        if in_storage.any():
-            self._pending_update_oids.append(oids[in_storage])
-            self._pending_update_values.append(values[in_storage])
-            applied += int(in_storage.sum())
-        return applied
+        # Last write wins: keep each oid's final slot in the request.
+        oids, last_reversed = np.unique(oids[::-1], return_index=True)
+        last = len(values) - 1 - last_reversed
+        values = values[last]
+        states = self._states(oids)
+        rewritten = 0
+        for state, value_chunks, oid_chunks in (
+            (_PENDING, self._pending_values, self._pending_oids),
+            (_REMOVING, self._pending_update_values, self._pending_update_oids),
+        ):
+            mask = states == state
+            rewritten += _rewrite(value_chunks, oid_chunks, oids[mask], values[mask])
+        stored = states == _STORED
+        if stored.any():
+            self._queue_removal(oids[stored], old_values[last][stored])
+            self._pending_update_oids.append(oids[stored])
+            self._pending_update_values.append(values[stored])
+        return rewritten + int(np.count_nonzero(stored))
+
+    def _states(self, oids: np.ndarray) -> np.ndarray:
+        """The row state of each of ``oids``, in O(k)."""
+        states = np.zeros(len(oids), dtype=np.int8)
+        inside = (oids >= 0) & (oids < len(self._state))
+        states[inside] = self._state[oids[inside]]
+        return states
+
+    def _set_state(self, oids: np.ndarray, state: int) -> None:
+        """Set the row state of ``oids``, doubling the map when needed."""
+        if not len(oids):
+            return
+        top = int(oids.max()) + 1
+        if top > len(self._state):
+            grow = max(top, 2 * len(self._state)) - len(self._state)
+            self._state = np.pad(self._state, (0, grow))
+        self._state[oids] = state
+
+    def _queue_removal(self, oids: np.ndarray, old_values: np.ndarray) -> None:
+        """Queue stored rows for removal under their pre-images.
+
+        Only the first removal of a row records a pre-image: later DML
+        on the same row finds it already in the removing state.
+        """
+        if len(oids):
+            self._removal_oids.append(oids)
+            self._removal_values.append(old_values)
+            self._state[oids] = _REMOVING
 
     def _merge_pending(self) -> None:
         """Fold the pending buffers into the pieces, if any exist.
 
-        The guard is the per-query fast path (one bool over three
-        lists); the work happens in :meth:`_merge_pending_now`, wrapped
-        in a ``pending_merge`` span when a trace is active.
+        The guard is the per-query fast path (one bool over two lists);
+        the work happens in :meth:`_merge_pending_now`, wrapped in a
+        ``pending_merge`` span when a trace is active.
         """
         if not self.has_pending:
             return
@@ -653,133 +740,116 @@ class CrackedColumn:
             self._merge_pending_now()
 
     def _merge_pending_now(self) -> None:
-        """Fold pending tuples into their pieces, preserving all invariants.
+        """Merge every pending buffer into the pieces, in place.
 
-        Three phases, all vectorised over the index's boundary arrays:
+        The ripple merge of Idreos, Kersten & Manegold, "Updating a
+        Cracked Database" (SIGMOD 2007), vectorised over the index:
 
-        1. *Removal*: rows with a pending delete or update leave storage.
-           One ``np.isin`` builds the keep mask; each boundary shifts left
-           by the prefix sum of per-piece removal counts
-           (:meth:`CrackerIndex.remove_shift`).
-        2. *Re-insert*: updated rows re-enter the pending-insert stream
-           under their original oid carrying the new value (last write
-           wins), so they land in whatever piece now bounds them.
-        3. *Insert*: the existing merge — piece assignment is two
-           ``searchsorted`` passes, the scatter one ``np.insert``, the
-           boundary shift one prefix-sum add.
+        1. *Locate* (the ``tombstone_merge`` span): each pending
+           removal's pre-image names its piece, and only those pieces
+           are searched for rows whose presence bit is clear.  A
+           pre-image that does not find its row raises
+           :class:`CrackError`.
+        2. *Plan*: piece ``j`` changes size by ``c_j`` (inserts minus
+           removals), so it starts ``D_j = c_0 + ... + c_{j-1}`` later
+           and ends ``D_{j+1}`` later.  Row order inside a piece is
+           free, so only the surviving rows outside the piece's new
+           range move, plus the inserted rows; the holes are the new
+           range's slots that hold no surviving row of the piece.
+        3. *Move*: one gather of the movers, one scatter into the holes
+           (both grouped by piece), one prefix-sum boundary shift.
 
-        Every phase writes *new* storage arrays, so outstanding zero-copy
-        snapshots keep their (retired) generation untouched.
+        Cost is O(k + moved + pieces) plus the searched pieces; at most
+        ``k + sum |D_j|`` tuples move, never the whole column.
         """
-        self._merge_removals()
-        if not self._pending_values:
-            return
-        pending_values = np.concatenate(self._pending_values)
-        pending_oids = np.concatenate(self._pending_oids)
-        self._pending_values.clear()
-        self._pending_oids.clear()
-        self.query_stats.merged_updates += len(pending_values)
-        if self.introspect is not None:
-            self.introspect.record_merge("merge", int(len(pending_values)))
-        boundary_count = len(self.index)
-        if boundary_count == 0:
-            self.values = np.concatenate([self.values, pending_values])
-            self.oids = np.concatenate([self.oids, pending_oids])
-            self.index.column_size = len(self.values)
-            # The merge installed fresh arrays: the old generation is
-            # retired, so outstanding snapshots need no further shielding.
-            self._live_snapshot_refs = []
-            return
-        piece_of = self.index.piece_assignment(pending_values)
-        if piece_of.size and piece_of.max() > boundary_count:
-            raise CrackError("internal error: pending value assigned past last piece")
-        order = np.argsort(piece_of, kind="stable")
-        pending_values = pending_values[order]
-        pending_oids = pending_oids[order]
-        piece_of = piece_of[order]
-        counts = np.bincount(piece_of, minlength=boundary_count + 1)
-        positions = self.index.positions()
-        # Insert each pending tuple at its piece's start: np.insert keeps
-        # equal-index insertions in argument order, and any slot inside
-        # the piece satisfies the piece's value bounds.
-        starts = np.empty(boundary_count + 1, dtype=np.int64)
-        starts[0] = 0
-        starts[1:] = positions
-        insert_at = starts[piece_of]
-        self.values = np.insert(self.values, insert_at, pending_values)
-        self.oids = np.insert(self.oids, insert_at, pending_oids)
-        self.index.merge_shift(counts, len(self.values))
-        # np.insert built fresh storage: the pre-merge generation is
-        # retired, so outstanding snapshots need no further shielding.
-        self._live_snapshot_refs = []
-
-    def _merge_removals(self) -> None:
-        """Phase 1+2 of the merge: take deleted/updated rows out of storage
-        and re-queue updated rows as pending inserts with their new value.
-
-        Wrapped in a ``tombstone_merge`` span when traced (this is the
-        write-path cost a DELETE/UPDATE defers onto the next query)."""
-        if not (self._pending_delete_oids or self._pending_update_oids):
-            return
-        with obs_trace.span("tombstone_merge"):
-            self._merge_removals_now()
-
-    def _merge_removals_now(self) -> None:
-        delete_oids = (
-            np.concatenate(self._pending_delete_oids)
-            if self._pending_delete_oids
-            else np.empty(0, dtype=np.int64)
-        )
-        self._pending_delete_oids.clear()
-        if self._pending_update_oids:
-            update_oids = np.concatenate(self._pending_update_oids)
-            update_values = np.concatenate(self._pending_update_values)
-            self._pending_update_oids.clear()
-            self._pending_update_values.clear()
-            # Last write wins: keep each oid's final buffered value.
-            reversed_oids = update_oids[::-1]
-            _, first_in_reversed = np.unique(reversed_oids, return_index=True)
-            keep = len(update_oids) - 1 - first_in_reversed
-            update_oids = update_oids[keep]
-            update_values = update_values[keep]
-        else:
-            update_oids = np.empty(0, dtype=np.int64)
-            update_values = np.empty(0, dtype=self.values.dtype)
-        removal = np.union1d(delete_oids, update_oids)
-        if removal.size == 0:
-            return
-        self.query_stats.merged_updates += int(removal.size)
-        if self.introspect is not None:
-            self.introspect.record_merge("tombstone", int(removal.size))
-        update_present = np.isin(update_oids, self.oids)
-        keep_mask = ~np.isin(self.oids, removal)
-        removed_positions = np.flatnonzero(~keep_mask)
-        if removed_positions.size:
-            boundary_count = len(self.index)
-            if boundary_count:
-                # Boundary b moves left by the number of removed rows
-                # before it: searchsorted of the (sorted) removed
-                # positions against the boundary positions, differenced
-                # into per-piece counts.
-                cuts = np.searchsorted(removed_positions, self.index.positions())
-                per_piece = np.diff(
-                    np.concatenate([[0], cuts, [removed_positions.size]])
+        dtype = self.values.dtype
+        removal_oids = _flat(self._removal_oids, np.int64)
+        removal_values = _flat(self._removal_values, dtype)
+        insert_values = _flat(self._pending_values + self._pending_update_values, dtype)
+        insert_oids = _flat(self._pending_oids + self._pending_update_oids, np.int64)
+        for buffer in (
+            self._removal_oids, self._removal_values, self._pending_values,
+            self._pending_oids, self._pending_update_values,
+            self._pending_update_oids,
+        ):
+            buffer.clear()
+        self._shield_snapshots()
+        size = len(self.values)
+        edges = np.empty(len(self.index) + 2, dtype=np.int64)
+        edges[0] = 0
+        edges[1:-1] = self.index.positions()
+        edges[-1] = size
+        starts, stops = edges[:-1], edges[1:]
+        pieces = len(starts)
+        removed_at = removed_piece = np.empty(0, dtype=np.int64)
+        if len(removal_oids):
+            with obs_trace.span("tombstone_merge"):
+                searched = np.unique(self.index.piece_assignment(removal_values))
+                candidates, which = _ranges(starts[searched], stops[searched])
+                found = self._state[self.oids[candidates]] == _REMOVING
+                removed_at = candidates[found]
+                removed_piece = searched[which[found]]
+            if len(removed_at) != len(removal_oids):
+                raise CrackError(
+                    f"{len(removal_oids) - len(removed_at)} pending removal(s) "
+                    f"not found in the pieces their pre-images name"
                 )
-                self.values = self.values[keep_mask]
-                self.oids = self.oids[keep_mask]
-                self.index.remove_shift(per_piece, len(self.values))
-            else:
-                self.values = self.values[keep_mask]
-                self.oids = self.oids[keep_mask]
-                self.index.column_size = len(self.values)
-            # Fancy indexing built fresh storage: the pre-removal
-            # generation is retired, no further shielding needed.
-            self._live_snapshot_refs = []
-        if update_present.any():
-            # Re-insert only rows that actually left storage (an update
-            # for an unknown oid is a no-op, mirroring delete).
-            self._pending_values.append(update_values[update_present])
-            self._pending_oids.append(update_oids[update_present])
+        insert_piece = self.index.piece_assignment(insert_values)
+        change = np.bincount(insert_piece, minlength=pieces) - np.bincount(
+            removed_piece, minlength=pieces
+        )
+        shift = np.zeros(pieces + 1, dtype=np.int64)
+        np.cumsum(change, out=shift[1:])
+        new_starts = starts + shift[:-1]
+        new_stops = stops + shift[1:]
+        # Old-range slots outside the new range (the piece's head when it
+        # moves right, its tail when it moves left), then the new-range
+        # slots outside the old range; survivors of the first fill the
+        # second and the removed rows' slots inside the new range.
+        outside_at, outside_piece = _ranges(
+            np.concatenate([starts, np.maximum(starts, new_stops)]),
+            np.concatenate([np.minimum(stops, new_starts), stops]),
+        )
+        survivor = self._state[self.oids[outside_at]] == _STORED
+        mover_at = outside_at[survivor]
+        mover_piece = np.concatenate([outside_piece[survivor] % pieces, insert_piece])
+        hole_at, hole_piece = _ranges(
+            np.concatenate([new_starts, np.maximum(new_starts, stops)]),
+            np.concatenate([np.minimum(new_stops, starts), new_stops]),
+        )
+        reused = (removed_at >= new_starts[removed_piece]) & (
+            removed_at < new_stops[removed_piece]
+        )
+        hole_at = np.concatenate([hole_at, removed_at[reused]])
+        hole_piece = np.concatenate([hole_piece % pieces, removed_piece[reused]])
+        if len(hole_at) != len(mover_piece):
+            raise CrackError(
+                f"internal error: merge planned {len(mover_piece)} movers "
+                f"for {len(hole_at)} holes"
+            )
+        order = np.argsort(mover_piece, kind="stable")
+        moving_values = np.concatenate([self.values[mover_at], insert_values])[order]
+        moving_oids = np.concatenate([self.oids[mover_at], insert_oids])[order]
+        target = hole_at[np.argsort(hole_piece, kind="stable")]
+        self._resize(size + int(shift[-1]))
+        self.values[target] = moving_values
+        self.oids[target] = moving_oids
+        self.index.merge_shift(change, len(self.values))
+        self._state[removal_oids] = _ABSENT
+        self._set_state(insert_oids, _STORED)
+        moved = len(target)
+        self.merge_moved += moved
+        self.query_stats.merged_updates += len(removal_oids) + len(insert_oids)
+        if self.introspect is not None:
+            # An UPDATE's merge logs a tombstone and a merge event; the
+            # tuples the whole merge moved are reported on the last one.
+            if len(removal_oids):
+                self.introspect.record_merge(
+                    "tombstone", len(removal_oids),
+                    moved=0 if len(insert_oids) else moved,
+                )
+            if len(insert_oids):
+                self.introspect.record_merge("merge", len(insert_oids), moved=moved)
 
     def _kernel_two(self, start: int, stop: int, pivot, kind: str) -> int:
         self._shield_snapshots()
@@ -917,44 +987,23 @@ class CrackedColumn:
         """A serialisable snapshot: storage, index and pending buffers.
 
         Array members are private copies, so the export stays valid while
-        the live column keeps cracking.  Callers are responsible for the
-        column's lock (the persistence layer holds the same write side
-        the query path takes).
+        the live column keeps cracking.  Pre-images are not exported:
+        :meth:`from_state` reads them back from storage.  Callers are
+        responsible for the column's lock (the persistence layer holds
+        the same write side the query path takes).
         """
         dtype = self.values.dtype
-        pending_values = (
-            np.concatenate(self._pending_values)
-            if self._pending_values
-            else np.empty(0, dtype=dtype)
-        )
-        pending_oids = (
-            np.concatenate(self._pending_oids)
-            if self._pending_oids
-            else np.empty(0, dtype=np.int64)
-        )
-        pending_delete = (
-            np.concatenate(self._pending_delete_oids)
-            if self._pending_delete_oids
-            else np.empty(0, dtype=np.int64)
-        )
-        pending_update_oids = (
-            np.concatenate(self._pending_update_oids)
-            if self._pending_update_oids
-            else np.empty(0, dtype=np.int64)
-        )
-        pending_update_values = (
-            np.concatenate(self._pending_update_values)
-            if self._pending_update_values
-            else np.empty(0, dtype=dtype)
-        )
+        update_oids = _flat(self._pending_update_oids, np.int64)
         return {
             "values": self.values.copy(),
             "oids": self.oids.copy(),
-            "pending_values": pending_values,
-            "pending_oids": pending_oids,
-            "pending_delete_oids": pending_delete,
-            "pending_update_oids": pending_update_oids,
-            "pending_update_values": pending_update_values,
+            "pending_values": _flat(self._pending_values, dtype),
+            "pending_oids": _flat(self._pending_oids, np.int64),
+            "pending_delete_oids": np.setdiff1d(
+                _flat(self._removal_oids, np.int64), update_oids
+            ),
+            "pending_update_oids": update_oids,
+            "pending_update_values": _flat(self._pending_update_values, dtype),
             "kernel": self.kernel,
             "crack_in_three_enabled": bool(self.crack_in_three_enabled),
             "crack_threshold": int(self.crack_threshold),
@@ -969,8 +1018,9 @@ class CrackedColumn:
         The warm-restart path: the cracker index (piece boundaries) and
         the physically reorganised storage come back exactly as
         exported, so the first post-restore query pays an index lookup,
-        not a re-crack.  Invariants are validated before the column is
-        handed out.
+        not a re-crack.  Pending removals get their pre-images from one
+        pass over storage.  Invariants are validated before the column
+        is handed out.
         """
         column = cls.__new__(cls)
         column.source = None
@@ -982,31 +1032,31 @@ class CrackedColumn:
             int(state["crack_threshold"]),
         )
         column.index = CrackerIndex.from_state(state["index"])
+        dtype = column.values.dtype
         pending_values = np.asarray(state["pending_values"])
         if len(pending_values):
-            column._pending_values = [pending_values.astype(column.values.dtype)]
-            column._pending_oids = [
-                np.asarray(state["pending_oids"], dtype=np.int64).copy()
-            ]
+            column.append(
+                pending_values.astype(dtype),
+                oids=np.asarray(state["pending_oids"], dtype=np.int64).copy(),
+            )
         # DML buffers: absent in pre-DML snapshots (.get defaults keep
         # FORMAT_VERSION stable).
-        pending_delete = np.asarray(
-            state.get("pending_delete_oids", np.empty(0, dtype=np.int64)),
-            dtype=np.int64,
-        )
-        if len(pending_delete):
-            column._pending_delete_oids = [pending_delete.copy()]
-        pending_update_oids = np.asarray(
-            state.get("pending_update_oids", np.empty(0, dtype=np.int64)),
-            dtype=np.int64,
-        )
-        if len(pending_update_oids):
-            column._pending_update_oids = [pending_update_oids.copy()]
+        empty = np.empty(0, dtype=np.int64)
+        update_oids = np.asarray(state.get("pending_update_oids", empty), dtype=np.int64)
+        if len(update_oids):
+            column._pending_update_oids = [update_oids.copy()]
             column._pending_update_values = [
-                np.asarray(state["pending_update_values"]).astype(
-                    column.values.dtype
-                )
+                np.asarray(state["pending_update_values"]).astype(dtype)
             ]
+        removal = np.union1d(
+            np.asarray(state.get("pending_delete_oids", empty), dtype=np.int64),
+            update_oids,
+        )
+        if len(removal):
+            at = np.flatnonzero(np.isin(column.oids, removal))
+            if len(at) != len(removal):
+                raise CrackError("pending removal references oids absent from storage")
+            column._queue_removal(column.oids[at], column.values[at])
         column._next_oid = int(state["next_oid"])
         column.check_invariants()
         return column
@@ -1016,22 +1066,47 @@ class CrackedColumn:
     # ------------------------------------------------------------------ #
 
     def check_invariants(self) -> None:
-        """Verify piece/value invariants; raises :class:`CrackError`."""
+        """Verify piece/value invariants; raises :class:`CrackError`.
+
+        Also checks the DML bookkeeping: every pending removal's
+        pre-image equals its row's stored value, every pending update
+        has a pending removal, and the row-state map agrees with storage
+        and the pending buffers.
+        """
         self.index.check_invariants()
         if self.index.column_size != len(self.values):
             raise CrackError(
                 f"index thinks column has {self.index.column_size} tuples, "
                 f"storage has {len(self.values)}"
             )
-        for label, chunks in (
-            ("delete", self._pending_delete_oids),
-            ("update", self._pending_update_oids),
+        removal_oids = _flat(self._removal_oids, np.int64)
+        pending_oids = _flat(self._pending_oids, np.int64)
+        if max(self.oids.max(initial=-1), pending_oids.max(initial=-1)) >= len(
+            self._state
         ):
-            for chunk in chunks:
-                if chunk.size and not np.isin(chunk, self.oids).all():
-                    raise CrackError(
-                        f"pending {label} references oids absent from storage"
-                    )
+            raise CrackError("row-state map does not cover every oid")
+        expected = np.zeros(len(self._state), dtype=np.int8)
+        expected[self.oids] = _STORED
+        if len(removal_oids):
+            at = np.flatnonzero(np.isin(self.oids, removal_oids))
+            by_oid = np.argsort(self.oids[at])
+            order = np.argsort(removal_oids)
+            if not np.array_equal(self.oids[at][by_oid], removal_oids[order]):
+                raise CrackError("pending removal references oids absent from storage")
+            pre_images = _flat(self._removal_values, self.values.dtype)[order]
+            if not np.array_equal(
+                self.values[at][by_oid], pre_images,
+                equal_nan=self.values.dtype.kind == "f",
+            ):
+                raise CrackError(
+                    "pending removal pre-image differs from the stored value"
+                )
+            expected[removal_oids] = _REMOVING
+        if not np.isin(_flat(self._pending_update_oids, np.int64), removal_oids).all():
+            raise CrackError("pending update of a row with no pending removal")
+        expected[pending_oids] = _PENDING
+        if not np.array_equal(expected, self._state):
+            raise CrackError("row-state map disagrees with storage and buffers")
         for piece in self.index.pieces():
             window = self.values[piece.start : piece.stop]
             if len(window) == 0:

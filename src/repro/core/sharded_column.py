@@ -414,29 +414,31 @@ class ShardedCrackedColumn:
                     self.shards[index].append(values[mask], oids=oids[mask])
         return oids
 
-    def delete(self, oids) -> int:
+    def delete(self, oids, old_values) -> int:
         """Queue deletions, fanned out to whichever shards hold the oids.
 
         Initial rows were split contiguously and appends route by modulo,
         so oid-to-shard membership cannot be computed arithmetically;
-        every shard filters the full set against its own oids (storage
-        plus pending areas) and applies only its members.  Returns the
-        number of distinct live tuples removed.  Held under the append
-        lock so the ``_deleted`` accounting and the per-shard buffers
-        move as one consistent cut (same lock order as ``append``).
+        every shard filters the full set through its row-state map
+        (O(k)) and applies only its members, each with its
+        pre-image from ``old_values`` (aligned with ``oids``).  Returns
+        the number of distinct live tuples removed.  Held under the
+        append lock so the ``_deleted`` accounting and the per-shard
+        buffers move as one consistent cut (same lock order as
+        ``append``).
         """
-        oids = np.unique(np.asarray(oids, dtype=np.int64))
+        oids = np.asarray(oids, dtype=np.int64)
         if not oids.size:
             return 0
         applied = 0
         with self._append_lock:
             for index in range(self.shard_count):
                 with self._locks[index]:
-                    applied += self.shards[index].delete(oids)
+                    applied += self.shards[index].delete(oids, old_values)
             self._deleted += applied
         return applied
 
-    def update(self, oids, values) -> int:
+    def update(self, oids, values, old_values) -> int:
         """Queue in-place value updates for ``oids``, fanned out per shard.
 
         Like :meth:`delete`, each shard applies the subset of updates it
@@ -444,18 +446,13 @@ class ShardedCrackedColumn:
         shards).  Returns the number of tuples updated.
         """
         oids = np.asarray(oids, dtype=np.int64)
-        values = np.asarray(values, dtype=self.shards[0].values.dtype)
-        if len(oids) != len(values):
-            raise CrackError(
-                f"update got {len(oids)} oids but {len(values)} values"
-            )
         if not oids.size:
             return 0
         applied = 0
         with self._append_lock:
             for index in range(self.shard_count):
                 with self._locks[index]:
-                    applied += self.shards[index].update(oids, values)
+                    applied += self.shards[index].update(oids, values, old_values)
         return applied
 
     # ------------------------------------------------------------------ #

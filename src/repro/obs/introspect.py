@@ -214,8 +214,11 @@ class ColumnIntrospection:
                 "statement": _STATEMENT_ID.get(),
             })
 
-    def record_merge(self, op: str, tuples: int) -> None:
-        """One merge-on-query event (pending inserts or tombstones)."""
+    def record_merge(self, op: str, tuples: int, moved: int) -> None:
+        """One merge-on-query event (pending inserts or tombstones).
+
+        ``moved`` counts the tuples the merge physically moved.
+        """
         with self._lock:
             self._event_seq += 1
             self._op_counts[op] = self._op_counts.get(op, 0) + 1
@@ -223,6 +226,7 @@ class ColumnIntrospection:
                 "seq": self._event_seq,
                 "op": op,
                 "tuples": int(tuples),
+                "moved": int(moved),
                 "statement": _STATEMENT_ID.get(),
             })
 

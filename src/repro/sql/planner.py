@@ -481,48 +481,67 @@ class CrackerProvider:
             updated += 1
         return updated
 
-    def propagate_delete(self, table: str, positions: np.ndarray) -> int:
+    def pre_images(
+        self, table: str, relation: Relation, positions: np.ndarray, attrs
+    ) -> dict[str, np.ndarray]:
+        """Current values at ``positions`` of the cracked ``attrs``.
+
+        Read before an UPDATE overwrites them: the crackers find each
+        pending row through its pre-image (see :meth:`propagate_update`).
+        """
+        return {
+            attr: relation.column(attr).tail_array()[positions]
+            for (table_name, attr) in self.columns()
+            if table_name == table and attr in attrs
+        }
+
+    def propagate_delete(
+        self, table: str, relation: Relation, positions: np.ndarray
+    ) -> int:
         """Feed deleted storage positions to the table's crackers.
 
         Every cracker of the table buffers the oids (cracker oids *are*
-        storage positions) and merges the removals out piece-wise on its
-        next query; an oid still sitting in a pending-insert buffer is
-        purged eagerly.  Returns the number of crackers notified.
+        storage positions) with their pre-images, read from the
+        relation (a tombstoned row keeps its values), and merges the
+        removals out piece-wise on its next query; an oid still sitting
+        in a pending-insert buffer is purged eagerly.  Returns the
+        number of crackers notified.
         """
         updated = 0
         positions = np.asarray(positions, dtype=np.int64)
         for (table_name, attr), column in self.columns().items():
             if table_name != table:
                 continue
+            old_values = relation.column(attr).tail_array()[positions]
             with self.lock_for(table_name, attr).write_locked():
-                column.delete(positions)
+                column.delete(positions, old_values)
             updated += 1
         return updated
 
     def propagate_update(
-        self, table: str, positions: np.ndarray, assignments: dict
+        self,
+        table: str,
+        positions: np.ndarray,
+        assignments: dict,
+        pre_images: dict[str, np.ndarray],
     ) -> int:
         """Feed in-place value rewrites to the crackers of assigned columns.
 
         Only crackers over attributes named in ``assignments`` are
         touched — an update leaves every other column's values (and all
         oids) unchanged, so those cracker indexes stay exactly valid.
-        Returns the number of crackers updated.
+        ``pre_images`` maps each such attribute to the rows' values
+        before the update (:meth:`pre_images`).  Returns the number of
+        crackers updated.
         """
         updated = 0
         positions = np.asarray(positions, dtype=np.int64)
         for (table_name, attr), column in self.columns().items():
             if table_name != table or attr not in assignments:
                 continue
-            values = np.full(
-                len(positions),
-                assignments[attr],
-                dtype=column.values.dtype
-                if isinstance(column, CrackedColumn)
-                else column.shards[0].values.dtype,
-            )
+            values = np.full(len(positions), assignments[attr])
             with self.lock_for(table_name, attr).write_locked():
-                column.update(positions, values)
+                column.update(positions, values, pre_images[attr])
             updated += 1
         return updated
 

@@ -873,6 +873,11 @@ class Database:
         with relation.write_lock:
             positions = self._dml_match_positions(relation, plan)
             if positions.size:
+                assignments = dict(plan.assignments)
+                if self._cracker is not None:
+                    pre_images = self._cracker.pre_images(
+                        plan.table, relation, positions, assignments
+                    )
                 relation.update_positions(
                     positions,
                     {
@@ -882,7 +887,7 @@ class Database:
                 )
                 if self._cracker is not None:
                     self._cracker.propagate_update(
-                        plan.table, positions, dict(plan.assignments)
+                        plan.table, positions, assignments, pre_images
                     )
         self._plan_cache.invalidate_table(plan.table)
         return QueryResult(columns=[], rows=[], affected=int(positions.size))
@@ -894,7 +899,7 @@ class Database:
             positions = self._dml_match_positions(relation, plan)
             affected = relation.delete_positions(positions)
             if affected and self._cracker is not None:
-                self._cracker.propagate_delete(plan.table, positions)
+                self._cracker.propagate_delete(plan.table, relation, positions)
         self._plan_cache.invalidate_table(plan.table)
         return QueryResult(columns=[], rows=[], affected=affected)
 
@@ -1158,7 +1163,7 @@ class Database:
                     for key in (
                         "pieces", "tuples", "cracks", "tuples_touched",
                         "tuples_moved", "queries", "tuples_scanned",
-                        "merged_updates", "pending_inserts",
+                        "merged_updates", "merge_moved", "pending_inserts",
                         "pending_deletes", "pending_updates",
                     )
                 )

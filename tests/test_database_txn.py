@@ -151,7 +151,7 @@ class TestAbort:
     def test_abort_after_query_merged_pending_dml(self):
         # The hard case for the drop-and-rebuild: DELETE and UPDATE are
         # buffered on the cracker, a SELECT inside the batch merges them
-        # into the pieces (remove_shift + re-queued inserts), and THEN
+        # into the pieces (the in-place merge), and THEN
         # the batch fails.  Base BATs, tombstones and the cracker must
         # all come back to the pre-transaction state.
         db = _loaded()

@@ -302,9 +302,8 @@ class CrackedColumn:
         self._next_oid = int(self.oids.max()) + 1 if len(self.oids) else 0
         # Row state by oid, so DML membership costs O(k), not a pass over
         # storage, and a DML call scans a pending buffer only for oids
-        # that sit in it.
-        self._state = np.zeros(self._next_oid, dtype=np.int8)
-        self._state[self.oids] = _STORED
+        # that sit in it.  Built by the first write (see _row_state).
+        self._state: np.ndarray | None = None
         # Weak references to live zero-copy snapshots (and their
         # handed-out view arrays); storage is retired — copied — before
         # the next in-place crack or merge while any is still referenced.
@@ -691,11 +690,20 @@ class CrackedColumn:
             self._pending_update_values.append(values[stored])
         return rewritten + int(np.count_nonzero(stored))
 
+    def _row_state(self) -> np.ndarray:
+        """The row-state map, built on first use so that a column nobody
+        writes to never pays the pass over storage."""
+        if self._state is None:
+            self._state = np.zeros(self._next_oid, dtype=np.int8)
+            self._state[self.oids] = _STORED
+        return self._state
+
     def _states(self, oids: np.ndarray) -> np.ndarray:
         """The row state of each of ``oids``, in O(k)."""
+        state = self._row_state()
         states = np.zeros(len(oids), dtype=np.int8)
-        inside = (oids >= 0) & (oids < len(self._state))
-        states[inside] = self._state[oids[inside]]
+        inside = (oids >= 0) & (oids < len(state))
+        states[inside] = state[oids[inside]]
         return states
 
     def _set_state(self, oids: np.ndarray, state: int) -> None:
@@ -703,7 +711,7 @@ class CrackedColumn:
         if not len(oids):
             return
         top = int(oids.max()) + 1
-        if top > len(self._state):
+        if top > len(self._row_state()):
             grow = max(top, 2 * len(self._state)) - len(self._state)
             self._state = np.pad(self._state, (0, grow))
         self._state[oids] = state
@@ -717,7 +725,7 @@ class CrackedColumn:
         if len(oids):
             self._removal_oids.append(oids)
             self._removal_values.append(old_values)
-            self._state[oids] = _REMOVING
+            self._row_state()[oids] = _REMOVING
 
     def _merge_pending(self) -> None:
         """Fold the pending buffers into the pieces, if any exist.
@@ -1043,11 +1051,15 @@ class CrackedColumn:
         # FORMAT_VERSION stable).
         empty = np.empty(0, dtype=np.int64)
         update_oids = np.asarray(state.get("pending_update_oids", empty), dtype=np.int64)
+        update_values = np.asarray(
+            state.get("pending_update_values", empty.astype(dtype))
+        ).astype(dtype)
+        # Older builds buffered every UPDATE of a row, so an oid may
+        # repeat: the last value wins, as their merge did.
+        update_oids, last_reversed = np.unique(update_oids[::-1], return_index=True)
         if len(update_oids):
-            column._pending_update_oids = [update_oids.copy()]
-            column._pending_update_values = [
-                np.asarray(state["pending_update_values"]).astype(dtype)
-            ]
+            column._pending_update_oids = [update_oids]
+            column._pending_update_values = [update_values[::-1][last_reversed]]
         removal = np.union1d(
             np.asarray(state.get("pending_delete_oids", empty), dtype=np.int64),
             update_oids,
@@ -1079,13 +1091,12 @@ class CrackedColumn:
                 f"index thinks column has {self.index.column_size} tuples, "
                 f"storage has {len(self.values)}"
             )
+        state = self._row_state()
         removal_oids = _flat(self._removal_oids, np.int64)
         pending_oids = _flat(self._pending_oids, np.int64)
-        if max(self.oids.max(initial=-1), pending_oids.max(initial=-1)) >= len(
-            self._state
-        ):
+        if max(self.oids.max(initial=-1), pending_oids.max(initial=-1)) >= len(state):
             raise CrackError("row-state map does not cover every oid")
-        expected = np.zeros(len(self._state), dtype=np.int8)
+        expected = np.zeros(len(state), dtype=np.int8)
         expected[self.oids] = _STORED
         if len(removal_oids):
             at = np.flatnonzero(np.isin(self.oids, removal_oids))
@@ -1102,10 +1113,13 @@ class CrackedColumn:
                     "pending removal pre-image differs from the stored value"
                 )
             expected[removal_oids] = _REMOVING
-        if not np.isin(_flat(self._pending_update_oids, np.int64), removal_oids).all():
+        update_oids = _flat(self._pending_update_oids, np.int64)
+        if not np.isin(update_oids, removal_oids).all():
             raise CrackError("pending update of a row with no pending removal")
+        if len(np.unique(update_oids)) != len(update_oids):
+            raise CrackError("row with more than one pending update")
         expected[pending_oids] = _PENDING
-        if not np.array_equal(expected, self._state):
+        if not np.array_equal(expected, state):
             raise CrackError("row-state map disagrees with storage and buffers")
         for piece in self.index.pieces():
             window = self.values[piece.start : piece.stop]

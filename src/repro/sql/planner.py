@@ -486,8 +486,11 @@ class CrackerProvider:
     ) -> dict[str, np.ndarray]:
         """Current values at ``positions`` of the cracked ``attrs``.
 
-        Read before an UPDATE overwrites them: the crackers find each
-        pending row through its pre-image (see :meth:`propagate_update`).
+        The one place pre-images are read.  The crackers find each
+        pending row through its pre-image, so an UPDATE must call this
+        before it overwrites the relation (see :meth:`propagate_update`);
+        a DELETE may call it afterwards, as a tombstoned row keeps its
+        values.
         """
         return {
             attr: relation.column(attr).tail_array()[positions]
@@ -501,20 +504,22 @@ class CrackerProvider:
         """Feed deleted storage positions to the table's crackers.
 
         Every cracker of the table buffers the oids (cracker oids *are*
-        storage positions) with their pre-images, read from the
-        relation (a tombstoned row keeps its values), and merges the
-        removals out piece-wise on its next query; an oid still sitting
-        in a pending-insert buffer is purged eagerly.  Returns the
-        number of crackers notified.
+        storage positions) with their pre-images (:meth:`pre_images`,
+        read after the tombstoning) and merges the removals out
+        piece-wise on its next query; an oid still sitting in a
+        pending-insert buffer is purged eagerly.  Returns the number of
+        crackers notified.
         """
         updated = 0
         positions = np.asarray(positions, dtype=np.int64)
+        old_values = self.pre_images(
+            table, relation, positions, relation.schema.names()
+        )
         for (table_name, attr), column in self.columns().items():
             if table_name != table:
                 continue
-            old_values = relation.column(attr).tail_array()[positions]
             with self.lock_for(table_name, attr).write_locked():
-                column.delete(positions, old_values)
+                column.delete(positions, old_values[attr])
             updated += 1
         return updated
 
@@ -531,7 +536,8 @@ class CrackerProvider:
         touched — an update leaves every other column's values (and all
         oids) unchanged, so those cracker indexes stay exactly valid.
         ``pre_images`` maps each such attribute to the rows' values
-        before the update (:meth:`pre_images`).  Returns the number of
+        before the update; callers must read it with :meth:`pre_images`
+        before they overwrite the relation.  Returns the number of
         crackers updated.
         """
         updated = 0

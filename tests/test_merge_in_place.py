@@ -124,6 +124,26 @@ class TestWritePath:
         assert _pairs(restored.range_select()) == _pairs(column.range_select())
         restored.check_invariants()
 
+    def test_restore_keeps_last_of_repeated_pending_updates(self):
+        # Snapshots from builds that buffered every UPDATE of a row may
+        # list an oid more than once; its last value wins.
+        column = _cracked()
+        state = column.export_state()
+        model = dict(_pairs(column.range_select()))
+        state["pending_update_oids"] = np.array([5, 8, 5, 8, 5], dtype=np.int64)
+        state["pending_update_values"] = np.array(
+            [1, 2, 3, 4, 1999], dtype=column.values.dtype
+        )
+        model.update({5: 1999, 8: 4})
+        restored = CrackedColumn.from_state(state)
+        assert restored.pending_update_count == 2
+        assert restored.pending_delete_count == 0
+        restored.check_invariants()
+        assert _pairs(restored.range_select()) == sorted(model.items())
+        expected = sum(value == 1999 for value in model.values())
+        assert restored.count_range(1999, 1999, high_inclusive=True) == expected
+        restored.check_invariants()
+
 
 # ---------------------------------------------------------------------- #
 # Zero-copy snapshots survive an in-place merge

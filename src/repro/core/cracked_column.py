@@ -1051,9 +1051,7 @@ class CrackedColumn:
         # FORMAT_VERSION stable).
         empty = np.empty(0, dtype=np.int64)
         update_oids = np.asarray(state.get("pending_update_oids", empty), dtype=np.int64)
-        update_values = np.asarray(
-            state.get("pending_update_values", empty.astype(dtype))
-        ).astype(dtype)
+        update_values = np.asarray(state.get("pending_update_values", empty)).astype(dtype)
         # Older builds buffered every UPDATE of a row, so an oid may
         # repeat: the last value wins, as their merge did.
         update_oids, last_reversed = np.unique(update_oids[::-1], return_index=True)

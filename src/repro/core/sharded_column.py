@@ -420,12 +420,11 @@ class ShardedCrackedColumn:
         Initial rows were split contiguously and appends route by modulo,
         so oid-to-shard membership cannot be computed arithmetically;
         every shard filters the full set through its row-state map
-        (O(k)) and applies only its members, each with its
-        pre-image from ``old_values`` (aligned with ``oids``).  Returns
-        the number of distinct live tuples removed.  Held under the
-        append lock so the ``_deleted`` accounting and the per-shard
-        buffers move as one consistent cut (same lock order as
-        ``append``).
+        (O(k)) and applies only its members, with their pre-images from
+        ``old_values`` (aligned with ``oids``).  Returns the number of
+        distinct live tuples removed.  Held under the append lock so the
+        ``_deleted`` accounting and the per-shard buffers move as one
+        consistent cut (same lock order as ``append``).
         """
         oids = np.asarray(oids, dtype=np.int64)
         if not oids.size:

@@ -482,9 +482,9 @@ class CrackerProvider:
         return updated
 
     def pre_images(
-        self, table: str, relation: Relation, positions: np.ndarray, attrs
+        self, table: str, relation: Relation, positions: np.ndarray
     ) -> dict[str, np.ndarray]:
-        """Current values at ``positions`` of the cracked ``attrs``.
+        """Current values at ``positions`` of the table's cracked columns.
 
         The one place pre-images are read.  The crackers find each
         pending row through its pre-image, so an UPDATE must call this
@@ -495,7 +495,7 @@ class CrackerProvider:
         return {
             attr: relation.column(attr).tail_array()[positions]
             for (table_name, attr) in self.columns()
-            if table_name == table and attr in attrs
+            if table_name == table
         }
 
     def propagate_delete(
@@ -512,9 +512,7 @@ class CrackerProvider:
         """
         updated = 0
         positions = np.asarray(positions, dtype=np.int64)
-        old_values = self.pre_images(
-            table, relation, positions, relation.schema.names()
-        )
+        old_values = self.pre_images(table, relation, positions)
         for (table_name, attr), column in self.columns().items():
             if table_name != table:
                 continue

@@ -875,9 +875,7 @@ class Database:
             if positions.size:
                 assignments = dict(plan.assignments)
                 if self._cracker is not None:
-                    pre_images = self._cracker.pre_images(
-                        plan.table, relation, positions, assignments
-                    )
+                    pre_images = self._cracker.pre_images(plan.table, relation, positions)
                 relation.update_positions(
                     positions,
                     {

@@ -1,9 +1,11 @@
-"""Ablation: cracker-index size control (piece fusion policies).
+"""Ablation: cracker-index size control.
 
 §3.2: "the cracker index grows quickly and becomes the target of a
-resource management challenge."  This ablation compares unbounded
-cracking against a bounded index with fusion, over a long random-range
-workload — measuring the time cost of re-cracking fused pieces.
+resource management challenge."  This ablation compares three set-ups
+over a long random-range workload: unbounded cracking, the piece-size
+cut-off (``crack_threshold``), and an unbounded column whose index is
+fused back to 64 pieces after every query (``CrackerIndex.fuse``) —
+measuring the time cost of re-cracking fused pieces.
 """
 
 import numpy as np
@@ -11,19 +13,15 @@ import pytest
 
 from benchmarks.conftest import BENCH_ROWS
 from repro.core.cracked_column import CrackedColumn
-from repro.core.optimizer import (
-    BoundedPiecesStrategy,
-    CrackingOptimizer,
-    EagerStrategy,
-    LazyThresholdStrategy,
-)
 
 QUERIES = 200
+MAX_PIECES = 64
 
-STRATEGIES = {
-    "eager_unbounded": EagerStrategy,
-    "bounded_64_pieces": lambda: BoundedPiecesStrategy(max_pieces=64),
-    "lazy_block_cutoff": lambda: LazyThresholdStrategy(min_piece_size=1024),
+#: set-up name -> (crack_threshold, pieces to fuse to after each query).
+SETUPS = {
+    "eager_unbounded": (0, None),
+    "bounded_64_pieces": (0, MAX_PIECES),
+    "lazy_block_cutoff": (1024, None),
 }
 
 
@@ -34,21 +32,25 @@ def _workload(seed=0):
     return list(zip(lows.tolist(), (lows + spans).tolist()))
 
 
-@pytest.mark.parametrize("strategy_name", sorted(STRATEGIES))
-def test_ablation_fusion_policy(benchmark, tapestry, strategy_name):
+@pytest.mark.parametrize("setup_name", sorted(SETUPS))
+def test_ablation_fusion_policy(benchmark, tapestry, setup_name):
     workload = _workload()
+    crack_threshold, max_pieces = SETUPS[setup_name]
 
     def setup():
-        column = CrackedColumn(tapestry.build_relation("R").column("a"))
-        optimizer = CrackingOptimizer(column, STRATEGIES[strategy_name]())
-        return (optimizer,), {}
+        column = CrackedColumn(
+            tapestry.build_relation("R").column("a"), crack_threshold=crack_threshold
+        )
+        return (column,), {}
 
-    def sequence(optimizer):
+    def sequence(column):
         total = 0
         for low, high in workload:
-            total += optimizer.range_select(low, high, high_inclusive=True).count
-        return optimizer.column.piece_count
+            total += column.range_select(low, high, high_inclusive=True).count
+            if max_pieces is not None:
+                column.index.fuse(max_pieces)
+        return column.piece_count
 
     pieces = benchmark.pedantic(sequence, setup=setup, rounds=3, iterations=1)
-    if strategy_name == "bounded_64_pieces":
-        assert pieces <= 64
+    if max_pieces is not None:
+        assert pieces <= max_pieces

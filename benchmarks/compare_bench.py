@@ -5,11 +5,14 @@ The bench sweeps (``python -m repro bench hotpath`` etc.) rewrite the
 script diffs those fresh numbers against the committed baselines (the
 ``HEAD`` version via ``git show``) for the throughput/latency leaves —
 ``qps``, ``statements_per_s``, ``p50_ms``, ``p99_ms`` — and renders a
-per-metric delta table.  Regressions beyond ``--tolerance`` percent are
-flagged, but the exit code is always 0: machine variance between CI
-runners makes a hard gate here noise, so the table is a review aid
-(``--summary`` appends it to e.g. ``$GITHUB_STEP_SUMMARY``), not a
-merge blocker.
+per-metric delta table.  Two reports are only diffed like for like: when
+their top-level ``rows`` or ``cpu_count`` differ, or the ``meta.python``
+/ ``meta.numpy`` versions differ where both carry ``meta``, the file gets
+one "incomparable" row instead of deltas.  Regressions beyond
+``--tolerance`` percent are flagged, but the exit code is always 0:
+machine variance between CI runners makes a hard gate here noise, so
+the table is a review aid (``--summary`` appends it to e.g.
+``$GITHUB_STEP_SUMMARY``), not a merge blocker.
 
 Usage::
 
@@ -70,15 +73,35 @@ def metric_leaves(node, prefix: str = "") -> dict[str, float]:
     return leaves
 
 
+def incomparable_reason(baseline: dict, fresh: dict) -> str | None:
+    """Why two reports were measured unlike, or None when they compare."""
+    pairs = [(key, baseline.get(key), fresh.get(key)) for key in ("rows", "cpu_count")]
+    base_meta, fresh_meta = baseline.get("meta"), fresh.get("meta")
+    if isinstance(base_meta, dict) and isinstance(fresh_meta, dict):
+        pairs += [(key, base_meta.get(key), fresh_meta.get(key)) for key in ("python", "numpy")]
+    differences = [f"{key} {old} vs {new}" for key, old, new in pairs if old != new]
+    return ", ".join(differences) or None
+
+
 def compare_file(path: Path, tolerance: float) -> tuple[list[str], int]:
     """Markdown table rows for one BENCH file; returns (rows, regressions)."""
     baseline = committed_baseline(path)
     if baseline is None:
-        return [f"| `{path.name}` | — | — | no committed baseline | |"], 0
+        return [f"| `{path.name}` | — | — | — | — | no committed baseline |"], 0
     try:
         fresh = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        return [f"| `{path.name}` | — | — | unreadable: {exc} | |"], 0
+        return [f"| `{path.name}` | — | — | — | — | unreadable: {exc} |"], 0
+    return compare_reports(path.name, baseline, fresh, tolerance)
+
+
+def compare_reports(
+    name: str, baseline: dict, fresh: dict, tolerance: float
+) -> tuple[list[str], int]:
+    """Markdown table rows diffing two reports; returns (rows, regressions)."""
+    reason = incomparable_reason(baseline, fresh)
+    if reason is not None:
+        return [f"| `{name}` | — | — | — | — | incomparable ({reason}) |"], 0
     base_leaves = metric_leaves(baseline)
     fresh_leaves = metric_leaves(fresh)
     rows: list[str] = []
@@ -97,7 +120,7 @@ def compare_file(path: Path, tolerance: float) -> tuple[list[str], int]:
         mark = "⚠ regression" if regressed else ("improved" if improved else "")
         regressions += int(regressed)
         rows.append(
-            f"| `{path.name}` | `{key}` | {before:g} | {after:g} "
+            f"| `{name}` | `{key}` | {before:g} | {after:g} "
             f"| {delta_pct:+.1f}% | {mark} |"
         )
     return rows, regressions

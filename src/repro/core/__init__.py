@@ -1,4 +1,4 @@
-"""Core contribution: cracking kernels, index, operators, lineage, optimizer."""
+"""Core contribution: cracking kernels, index, operators, lineage."""
 
 from repro.core.crack import (
     KIND_LE,
@@ -11,14 +11,7 @@ from repro.core.crack import (
     crack_in_two_rebuild,
     crack_in_two_swaps,
 )
-from repro.core.cracked_column import (
-    KERNEL_REBUILD,
-    KERNEL_SWAPS,
-    KERNEL_VECTORISED,
-    CrackedColumn,
-    QueryStats,
-    SelectionResult,
-)
+from repro.core.cracked_column import CrackedColumn, QueryStats, SelectionResult
 from repro.core.cracker_index import Boundary, CrackerIndex, Piece
 from repro.core.rwlock import ReadWriteLock
 from repro.core.sharded_column import (
@@ -46,31 +39,17 @@ from repro.core.lineage import (
     psi_inverse,
     union_pieces,
 )
-from repro.core.optimizer import (
-    BoundedPiecesStrategy,
-    CrackingOptimizer,
-    EagerStrategy,
-    LazyThresholdStrategy,
-    fuse_to,
-)
 
 __all__ = [
     "Boundary",
-    "BoundedPiecesStrategy",
     "CrackOperation",
     "CrackResult",
     "CrackStats",
     "CrackedColumn",
     "CrackerIndex",
-    "CrackingOptimizer",
     "DEFAULT_SHARDS",
-    "EagerStrategy",
-    "KERNEL_REBUILD",
-    "KERNEL_SWAPS",
-    "KERNEL_VECTORISED",
     "KIND_LE",
     "KIND_LT",
-    "LazyThresholdStrategy",
     "LineageGraph",
     "LineageNode",
     "OP_OMEGA",
@@ -89,7 +68,6 @@ __all__ = [
     "crack_in_two",
     "crack_in_two_rebuild",
     "crack_in_two_swaps",
-    "fuse_to",
     "omega_crack",
     "psi_crack",
     "psi_inverse",

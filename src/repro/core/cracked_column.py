@@ -38,22 +38,12 @@ from repro.core.crack import (
     KIND_LT,
     CrackStats,
     crack_in_three,
-    crack_in_three_rebuild,
-    crack_in_three_via_two,
     crack_in_two,
-    crack_in_two_rebuild,
-    crack_in_two_swaps,
 )
 from repro.core.cracker_index import CrackerIndex, Piece
 from repro.errors import CrackError
 from repro.obs import trace as obs_trace
 from repro.storage.bat import BAT
-
-#: Kernel selection for the ablation benchmark.
-KERNEL_VECTORISED = "vectorised"
-KERNEL_REBUILD = "rebuild"
-KERNEL_SWAPS = "swaps"
-_KERNELS = (KERNEL_VECTORISED, KERNEL_REBUILD, KERNEL_SWAPS)
 
 #: Row states of ``CrackedColumn._state``, indexed by oid: unknown to the
 #: column, stored, stored with a pending removal, or pending insert.
@@ -112,10 +102,9 @@ class SelectionResult:
 
     When the column was cracked for the query, the answer is the
     contiguous span ``[start, stop)`` of the cracker column and ``oids`` /
-    ``values`` are zero-copy slices.  When a strategy declined to crack,
-    or threshold-bounded cracking answered an edge piece by scanning, the
-    answer may be a gathered (non-contiguous) subset; ``contiguous``
-    tells which case applies.
+    ``values`` are zero-copy slices.  When threshold-bounded cracking
+    answered an edge piece by scanning, the answer is a gathered
+    (non-contiguous) subset; ``contiguous`` tells which case applies.
 
     ``owner`` is the producing :class:`CrackedColumn` for contiguous
     answers; it enables the copy-on-demand :meth:`snapshot` protocol.
@@ -195,9 +184,6 @@ class CrackedColumn:
     Args:
         source: base BAT (int or float tail) to crack.  The BAT itself is
             never mutated; the cracker works on a private copy.
-        kernel: 'vectorised' (default) or 'swaps' — see :mod:`repro.core.crack`.
-        crack_in_three_enabled: when False, double-sided ranges use two
-            successive crack-in-twos (the paper discusses both; ablation).
         crack_threshold: stop splitting pieces smaller than this many
             tuples; a bound falling in such a piece is answered by a
             vectorised filter scan of that piece instead of a crack.
@@ -207,8 +193,6 @@ class CrackedColumn:
     def __init__(
         self,
         source: BAT,
-        kernel: str = KERNEL_VECTORISED,
-        crack_in_three_enabled: bool = True,
         crack_threshold: int = 0,
     ) -> None:
         if source.tail_type not in ("int", "float", "oid"):
@@ -219,8 +203,6 @@ class CrackedColumn:
         self._setup(
             source.tail_array().copy(),
             source.head_array().copy(),
-            kernel,
-            crack_in_three_enabled,
             crack_threshold,
         )
 
@@ -229,8 +211,6 @@ class CrackedColumn:
         cls,
         values: np.ndarray,
         oids: np.ndarray | None = None,
-        kernel: str = KERNEL_VECTORISED,
-        crack_in_three_enabled: bool = True,
         crack_threshold: int = 0,
     ) -> "CrackedColumn":
         """Build a cracker directly over value/oid arrays (no BAT).
@@ -255,28 +235,19 @@ class CrackedColumn:
                 )
         column = cls.__new__(cls)
         column.source = None
-        column._setup(
-            values.copy(), oids.copy(), kernel, crack_in_three_enabled,
-            crack_threshold,
-        )
+        column._setup(values.copy(), oids.copy(), crack_threshold)
         return column
 
     def _setup(
         self,
         values: np.ndarray,
         oids: np.ndarray,
-        kernel: str,
-        crack_in_three_enabled: bool,
         crack_threshold: int,
     ) -> None:
-        if kernel not in _KERNELS:
-            raise CrackError(f"unknown kernel {kernel!r}; expected one of {_KERNELS}")
         if crack_threshold < 0:
             raise CrackError(
                 f"crack_threshold must be >= 0, got {crack_threshold}"
             )
-        self.kernel = kernel
-        self.crack_in_three_enabled = crack_in_three_enabled
         self.crack_threshold = crack_threshold
         # Storage is the [:n] view of buffers with spare room, so a merge
         # grows the column in place (see _resize).
@@ -432,13 +403,10 @@ class CrackedColumn:
         high=None,
         low_inclusive: bool = True,
         high_inclusive: bool = False,
-        crack: bool = True,
     ) -> SelectionResult:
         """Answer ``low θ attr θ high`` adaptively.
 
-        ``None`` bounds make the predicate one-sided.  With ``crack=False``
-        the query is answered by scanning the overlapping pieces without
-        reorganising (used by bounded cracking strategies).
+        ``None`` bounds make the predicate one-sided.
         """
         self._merge_pending()
         self.query_stats.queries += 1
@@ -456,8 +424,6 @@ class CrackedColumn:
             return SelectionResult(oids=empty, values=empty.astype(self.values.dtype))
         low_kind = KIND_LT if low_inclusive else KIND_LE
         high_kind = KIND_LE if high_inclusive else KIND_LT
-        if not crack:
-            return self._scan_select(low, high, low_kind, high_kind)
         if self.crack_threshold > 0:
             return self._bounded_select(low, high, low_kind, high_kind)
         start = 0
@@ -476,12 +442,10 @@ class CrackedColumn:
         high=None,
         low_inclusive: bool = True,
         high_inclusive: bool = False,
-        crack: bool = True,
     ) -> int:
-        """Count qualifying tuples (cracks as a side effect by default)."""
+        """Count qualifying tuples (cracks as a side effect)."""
         return self.range_select(
-            low, high, low_inclusive=low_inclusive, high_inclusive=high_inclusive,
-            crack=crack,
+            low, high, low_inclusive=low_inclusive, high_inclusive=high_inclusive
         ).count
 
     def _span_result(self, start: int, stop: int) -> SelectionResult:
@@ -511,17 +475,7 @@ class CrackedColumn:
         piece = self.index.piece_for(value, kind)
         if piece.size < self.crack_threshold:
             return None, piece
-        self.query_stats.pieces_inspected += 1
-        moved_before = self.crack_stats.tuples_moved
-        split = self._kernel_two(piece.start, piece.stop, value, kind)
-        self.index.add(value, kind, split)
-        if self.introspect is not None:
-            self.introspect.record_crack(
-                bounds=(value,),
-                piece_sizes=(split - piece.start, piece.stop - split),
-                moved=self.crack_stats.tuples_moved - moved_before,
-            )
-        return split, None
+        return self._split(piece, value, kind), None
 
     def _edge_positions(self, piece: Piece, low, high, low_kind, high_kind) -> np.ndarray:
         """Qualifying storage positions inside one scanned edge piece.
@@ -859,46 +813,22 @@ class CrackedColumn:
             if len(insert_oids):
                 self.introspect.record_merge("merge", len(insert_oids), moved=moved)
 
-    def _kernel_two(self, start: int, stop: int, pivot, kind: str) -> int:
-        self._shield_snapshots()
-        if self.kernel == KERNEL_SWAPS:
-            return crack_in_two_swaps(
-                self.values, self.oids, start, stop, pivot, kind, stats=self.crack_stats
-            )
-        if self.kernel == KERNEL_REBUILD:
-            return crack_in_two_rebuild(
-                self.values, self.oids, start, stop, pivot, kind, stats=self.crack_stats
-            )
-        return crack_in_two(
-            self.values, self.oids, start, stop, pivot, kind, stats=self.crack_stats
-        )
-
-    def _kernel_three(self, start: int, stop: int, low, high, low_kind, high_kind):
-        self._shield_snapshots()
-        kernel = (
-            crack_in_three_rebuild if self.kernel == KERNEL_REBUILD else crack_in_three
-        )
-        return kernel(
-            self.values,
-            self.oids,
-            start,
-            stop,
-            low,
-            high,
-            low_kind=low_kind,
-            high_kind=high_kind,
-            stats=self.crack_stats,
-        )
-
     def _ensure_boundary(self, value, kind: str) -> int:
         """Crack (if needed) so boundary ``(value, kind)`` exists; return it."""
         existing = self.index.lookup(value, kind)
         if existing is not None:
             return existing
-        piece = self.index.piece_for(value, kind)
+        return self._split(self.index.piece_for(value, kind), value, kind)
+
+    def _split(self, piece: Piece, value, kind: str) -> int:
+        """Crack ``piece`` in two at boundary ``(value, kind)`` and index it."""
         self.query_stats.pieces_inspected += 1
+        self._shield_snapshots()
         moved_before = self.crack_stats.tuples_moved
-        split = self._kernel_two(piece.start, piece.stop, value, kind)
+        split = crack_in_two(
+            self.values, self.oids, piece.start, piece.stop, value, kind,
+            stats=self.crack_stats,
+        )
         self.index.add(value, kind, split)
         if self.introspect is not None:
             self.introspect.record_crack(
@@ -921,38 +851,13 @@ class CrackedColumn:
                 low_piece.start == high_piece.start
                 and low_piece.stop == high_piece.stop
             )
-            if same_piece and self.crack_in_three_enabled:
-                self.query_stats.pieces_inspected += 1
-                moved_before = self.crack_stats.tuples_moved
-                split_low, split_high = self._kernel_three(
-                    low_piece.start, low_piece.stop, low, high, low_kind, high_kind
-                )
-                self.index.add(low, low_kind, split_low)
-                self.index.add(high, high_kind, split_high)
-                if self.introspect is not None:
-                    self.introspect.record_crack(
-                        bounds=(low, high),
-                        piece_sizes=(
-                            split_low - low_piece.start,
-                            split_high - split_low,
-                            low_piece.stop - split_high,
-                        ),
-                        moved=self.crack_stats.tuples_moved - moved_before,
-                    )
-                return split_low, split_high
             if same_piece:
                 self.query_stats.pieces_inspected += 1
                 self._shield_snapshots()
                 moved_before = self.crack_stats.tuples_moved
-                split_low, split_high = crack_in_three_via_two(
-                    self.values,
-                    self.oids,
-                    low_piece.start,
-                    low_piece.stop,
-                    low,
-                    high,
-                    low_kind=low_kind,
-                    high_kind=high_kind,
+                split_low, split_high = crack_in_three(
+                    self.values, self.oids, low_piece.start, low_piece.stop,
+                    low, high, low_kind=low_kind, high_kind=high_kind,
                     stats=self.crack_stats,
                 )
                 self.index.add(low, low_kind, split_low)
@@ -971,21 +876,6 @@ class CrackedColumn:
         start = self._ensure_boundary(low, low_kind)
         stop = self._ensure_boundary(high, high_kind)
         return start, max(start, stop)
-
-    def _scan_select(self, low, high, low_kind: str, high_kind: str) -> SelectionResult:
-        """Answer by scanning overlapping pieces, without reorganising."""
-        mask = np.ones(len(self.values), dtype=bool)
-        if low is not None:
-            mask &= (
-                self.values >= low if low_kind == KIND_LT else self.values > low
-            )
-        if high is not None:
-            mask &= (
-                self.values < high if high_kind == KIND_LT else self.values <= high
-            )
-        self.query_stats.tuples_scanned += len(self.values)
-        positions = np.flatnonzero(mask)
-        return SelectionResult(oids=self.oids[positions], values=self.values[positions])
 
     # ------------------------------------------------------------------ #
     # Persistence
@@ -1012,8 +902,6 @@ class CrackedColumn:
             ),
             "pending_update_oids": update_oids,
             "pending_update_values": _flat(self._pending_update_values, dtype),
-            "kernel": self.kernel,
-            "crack_in_three_enabled": bool(self.crack_in_three_enabled),
             "crack_threshold": int(self.crack_threshold),
             "next_oid": int(self._next_oid),
             "index": self.index.export_state(),
@@ -1028,15 +916,14 @@ class CrackedColumn:
         exported, so the first post-restore query pays an index lookup,
         not a re-crack.  Pending removals get their pre-images from one
         pass over storage.  Invariants are validated before the column
-        is handed out.
+        is handed out.  Kernel-selection keys older builds wrote are
+        ignored: every column runs the one crack path.
         """
         column = cls.__new__(cls)
         column.source = None
         column._setup(
             np.asarray(state["values"]).copy(),
             np.asarray(state["oids"], dtype=np.int64).copy(),
-            str(state["kernel"]),
-            bool(state["crack_in_three_enabled"]),
             int(state["crack_threshold"]),
         )
         column.index = CrackerIndex.from_state(state["index"])

@@ -329,11 +329,39 @@ class CrackerIndex:
         n = self._count
         if index >= n or self._ranks[index] != rank or self._exact[index] != value:
             raise CrackerIndexError(f"boundary ({value!r}, {kind!r}) not present")
+        self._remove_at(index)
+
+    def _remove_at(self, index: int) -> None:
+        n = self._count
         for array in (self._values, self._ranks, self._positions):
             array[index : n - 1] = array[index + 1 : n]
         del self._exact[index]
         self._count = n - 1
         self._active_values = self._values[: self._count]
+
+    def fuse(self, max_pieces: int) -> int:
+        """Remove boundaries until at most ``max_pieces`` pieces remain.
+
+        The piece-count cut-off of §3.4.2: "If the cracker dictionary
+        overflows, pieces can be merged to form larger units again."
+        Each step drops the boundary between the two adjacent pieces
+        whose combined size is smallest, losing the least navigational
+        value per boundary dropped.  Storage never moves; fusing only
+        widens what a later query scans or re-cracks.
+
+        Returns:
+            the number of boundaries removed.
+        """
+        if max_pieces < 1:
+            raise CrackerIndexError(f"max_pieces must be >= 1, got {max_pieces}")
+        removed = 0
+        while self.piece_count > max_pieces:
+            edges = np.concatenate(
+                ([0], self._positions[: self._count], [self.column_size])
+            )
+            self._remove_at(int(np.argmin(edges[2:] - edges[:-2])))
+            removed += 1
+        return removed
 
     def shift_from(self, position: int, delta: int) -> None:
         """Shift every boundary at or after ``position`` by ``delta``.

@@ -31,12 +31,7 @@ from contextlib import ExitStack
 import numpy as np
 
 from repro.core.crack import CrackStats
-from repro.core.cracked_column import (
-    KERNEL_VECTORISED,
-    CrackedColumn,
-    QueryStats,
-    SelectionResult,
-)
+from repro.core.cracked_column import CrackedColumn, QueryStats, SelectionResult
 from repro.errors import CrackError
 from repro.storage.bat import BAT
 
@@ -99,8 +94,6 @@ class ShardedCrackedColumn:
     Args:
         source: base BAT (numeric tail) to crack.
         shards: number of horizontal partitions (contiguous row blocks).
-        kernel: crack kernel, as for :class:`CrackedColumn`.
-        crack_in_three_enabled: forwarded to every shard.
         crack_threshold: piece-size crack cut-off, forwarded to every
             shard (each shard bounds its own pieces; 0 = always crack).
         parallel: fan shard work out over a thread pool.  With one usable
@@ -119,8 +112,6 @@ class ShardedCrackedColumn:
         self,
         source: BAT,
         shards: int = DEFAULT_SHARDS,
-        kernel: str = KERNEL_VECTORISED,
-        crack_in_three_enabled: bool = True,
         crack_threshold: int = 0,
         parallel: bool = True,
         max_workers: int | None = None,
@@ -133,8 +124,6 @@ class ShardedCrackedColumn:
             source.tail_array(),
             source.head_array(),
             shards,
-            kernel,
-            crack_in_three_enabled,
             crack_threshold,
             parallel,
             max_workers,
@@ -147,8 +136,6 @@ class ShardedCrackedColumn:
         values: np.ndarray,
         oids: np.ndarray | None = None,
         shards: int = DEFAULT_SHARDS,
-        kernel: str = KERNEL_VECTORISED,
-        crack_in_three_enabled: bool = True,
         crack_threshold: int = 0,
         parallel: bool = True,
         max_workers: int | None = None,
@@ -171,8 +158,6 @@ class ShardedCrackedColumn:
             values,
             np.asarray(oids, dtype=np.int64),
             shards,
-            kernel,
-            crack_in_three_enabled,
             crack_threshold,
             parallel,
             max_workers,
@@ -185,8 +170,6 @@ class ShardedCrackedColumn:
         values: np.ndarray,
         oids: np.ndarray,
         shards: int,
-        kernel: str,
-        crack_in_three_enabled: bool,
         crack_threshold: int,
         parallel: bool,
         max_workers: int | None,
@@ -203,8 +186,6 @@ class ShardedCrackedColumn:
             CrackedColumn.from_arrays(
                 values[start:stop],
                 oids[start:stop],
-                kernel=kernel,
-                crack_in_three_enabled=crack_in_three_enabled,
                 crack_threshold=crack_threshold,
             )
             for start, stop in zip(edges[:-1], edges[1:])
@@ -321,7 +302,6 @@ class ShardedCrackedColumn:
         high=None,
         low_inclusive: bool = True,
         high_inclusive: bool = False,
-        crack: bool = True,
         snapshot: bool = False,
     ) -> ShardedSelectionResult:
         """Answer ``low θ attr θ high`` by cracking every shard.
@@ -345,7 +325,6 @@ class ShardedCrackedColumn:
                     high,
                     low_inclusive=low_inclusive,
                     high_inclusive=high_inclusive,
-                    crack=crack,
                 )
                 return result.snapshot() if snapshot else result
 
@@ -365,12 +344,10 @@ class ShardedCrackedColumn:
         high=None,
         low_inclusive: bool = True,
         high_inclusive: bool = False,
-        crack: bool = True,
     ) -> int:
         """Count qualifying tuples (cracks every shard as a side effect)."""
         return self.range_select(
-            low, high, low_inclusive=low_inclusive, high_inclusive=high_inclusive,
-            crack=crack,
+            low, high, low_inclusive=low_inclusive, high_inclusive=high_inclusive
         ).count
 
     # ------------------------------------------------------------------ #

@@ -30,7 +30,6 @@ class ShardedCrackedEngine(VectorizedCrackedEngine):
     Args:
         shards: shard count per cracked column (default: one per core,
             capped at 8).
-        kernel: crack kernel forwarded to every shard.
         parallel: fan shard cracks out over a thread pool; False cracks
             the shards serially (still benefits from the smaller,
             cache-resident shard working sets).
@@ -43,11 +42,10 @@ class ShardedCrackedEngine(VectorizedCrackedEngine):
     def __init__(
         self,
         shards: int = DEFAULT_SHARDS,
-        kernel: str = "vectorised",
         parallel: bool = True,
         crack_threshold: int = 0,
     ) -> None:
-        super().__init__(kernel=kernel, crack_threshold=crack_threshold)
+        super().__init__(crack_threshold=crack_threshold)
         self.shards = shards
         self.parallel = parallel
         self._sharded: dict[tuple[str, str], ShardedCrackedColumn] = {}
@@ -71,7 +69,6 @@ class ShardedCrackedEngine(VectorizedCrackedEngine):
             column = ShardedCrackedColumn(
                 bat,
                 shards=self.shards,
-                kernel=self._kernel,
                 parallel=self.parallel,
                 crack_threshold=self._crack_threshold,
             )

@@ -102,8 +102,6 @@ def _pack_single(state: dict, prefix: str, arrays: dict) -> dict:
     arrays[f"{prefix}pending_update_oids"] = state["pending_update_oids"]
     arrays[f"{prefix}pending_update_values"] = state["pending_update_values"]
     return {
-        "kernel": state["kernel"],
-        "crack_in_three_enabled": bool(state["crack_in_three_enabled"]),
         "crack_threshold": int(state["crack_threshold"]),
         "next_oid": int(state["next_oid"]),
         "index": _pack_index(state["index"], prefix, arrays),
@@ -116,8 +114,6 @@ def _unpack_single(meta: dict, prefix: str, arrays) -> dict:
         "oids": arrays[f"{prefix}oids"],
         "pending_values": arrays[f"{prefix}pending_values"],
         "pending_oids": arrays[f"{prefix}pending_oids"],
-        "kernel": meta["kernel"],
-        "crack_in_three_enabled": bool(meta["crack_in_three_enabled"]),
         "crack_threshold": int(meta["crack_threshold"]),
         "next_oid": int(meta["next_oid"]),
         "index": _unpack_index(meta["index"], prefix, arrays),

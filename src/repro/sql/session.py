@@ -722,12 +722,14 @@ class Database:
 
         The SQL surface is ``EXPLAIN ANALYZE <stmt>`` (handled by
         :meth:`execute`); this is the programmatic form.  The statement
-        is compiled from scratch — the exact plan cache is probed but
-        deliberately not used, so the trace always shows the full
-        lex → parse → plan-cache → analyze → plan(crack) → gather
-        pipeline with real timings.  Side effects are the statement's
-        own: an EXPLAIN ANALYZE'd SELECT cracks, an INSERT inserts and
-        reaches the WAL.
+        runs the same compile pipeline as :meth:`execute`, under the
+        same ``statement`` root span as ``trace=True``, so the trace
+        shows the path that ran: an exact plan-cache hit has no
+        lex/parse/analyze spans, and the root span's ``plan_cache``
+        detail names the probe outcome (``exact-hit``, ``template-hit``
+        or ``miss``; absent with the plan cache off).  Side effects are
+        the statement's own: an EXPLAIN ANALYZE'd SELECT cracks, an
+        INSERT inserts and reaches the WAL.
 
         Result shape: columns ``(span, ms, detail)``, one row per span
         in depth-first order, names indented two spaces per tree level,
@@ -736,25 +738,10 @@ class Database:
         """
         if not sql.strip():
             raise SQLAnalysisError("EXPLAIN ANALYZE needs a statement")
-        root = obs_trace.start_span("statement", kind=_statement_kind(sql))
-        with root:
-            with obs_trace.span("lex"):
-                tokens = tokenize(sql)
-            with obs_trace.span("parse"):
-                stmt = parse(sql, tokens=tokens)
-            if isinstance(stmt, SelectStmt) and stmt.into is None:
-                with obs_trace.span("plan_cache") as probe:
-                    probe.meta["exact_hit"] = (
-                        self._plan_cache.lookup_exact(sql) is not None
-                    )
-                with obs_trace.span("analyze"):
-                    query = analyze(stmt, self.catalog)
-                result = self._execute_analyzed(query, mode=mode)
-            else:
-                result = self._dispatch_statement(stmt, sql, mode)
+        result = self._execute_traced(sql, mode)
+        root = self._last_trace
         root.meta["rows"] = result.row_count
         root.meta["affected"] = result.affected
-        self._last_trace = root
         return self._trace_result(root)
 
     @staticmethod
@@ -1085,8 +1072,10 @@ class Database:
             ))
         rows.append((
             "convergence", "cost_totals",
-            f"crack={_explain_number(convergence['crack_cost_total'])} "
-            f"scan={_explain_number(convergence['scan_cost_total'])}",
+            " ".join(
+                f"{name}={_explain_number(convergence[f'{name}_cost_total'])}"
+                for name in ("crack", "scan")
+            ),
         ))
         return QueryResult(columns=list(self._EXPLAIN_INDEX_COLUMNS), rows=rows)
 

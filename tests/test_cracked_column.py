@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cracked_column import (
-    KERNEL_REBUILD,
-    KERNEL_SWAPS,
-    KERNEL_VECTORISED,
-    CrackedColumn,
-)
+from repro.core.cracked_column import CrackedColumn
 from repro.errors import CrackError
 from repro.storage.bat import BAT
 
@@ -87,8 +82,9 @@ class TestRangeSelect:
 
     def test_scan_mode_does_not_reorganise(self, rng):
         data = rng.permutation(300)
-        column = make_column(data)
-        result = column.range_select(50, 150, crack=False)
+        # The whole column is below the crack threshold: scanned, not cracked.
+        column = make_column(data, crack_threshold=301)
+        result = column.range_select(50, 150)
         assert not result.contiguous
         assert column.piece_count == 1
         assert result.count == brute_count(data, 50, 150)
@@ -106,34 +102,12 @@ class TestRangeSelect:
         with pytest.raises(CrackError):
             CrackedColumn(bat)
 
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(CrackError):
-            make_column([1], kernel="gpu")
-
     def test_source_bat_is_never_mutated(self, rng):
         data = rng.permutation(200)
         bat = BAT.from_values("t", data)
         column = CrackedColumn(bat)
         column.range_select(50, 150)
         assert np.array_equal(bat.tail_array(), data)
-
-
-class TestKernelParity:
-    @pytest.mark.parametrize("kernel", [KERNEL_VECTORISED, KERNEL_REBUILD, KERNEL_SWAPS])
-    def test_all_kernels_same_answers(self, rng, kernel):
-        data = rng.permutation(500)
-        column = make_column(data, kernel=kernel)
-        for low, high in [(100, 300), (50, 120), (400, 450)]:
-            result = column.range_select(low, high, high_inclusive=True)
-            assert result.count == brute_count(data, low, high, True, True)
-            column.check_invariants()
-
-    def test_crack_in_three_disabled_same_answers(self, rng):
-        data = rng.permutation(500)
-        column = make_column(data, crack_in_three_enabled=False)
-        result = column.range_select(100, 300, high_inclusive=True)
-        assert result.count == 201
-        column.check_invariants()
 
 
 class TestUpdates:

@@ -5,6 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.crack import (
+    KIND_LT,
+    crack_in_two,
+    crack_in_two_rebuild,
+    crack_in_two_swaps,
+)
 from repro.core.cracked_column import CrackedColumn, SelectionResult
 from repro.core.sharded_column import ShardedCrackedColumn
 from repro.errors import CrackError
@@ -115,11 +121,16 @@ class TestThresholdBoundedCracking:
 
     @pytest.mark.parametrize("kernel", ["vectorised", "rebuild", "swaps"])
     def test_threshold_with_every_kernel(self, kernel):
+        # The column runs one crack path; each reference kernel in
+        # core/crack.py partitions a plain copy to give the expected answer.
+        crack = {
+            "vectorised": crack_in_two,
+            "rebuild": crack_in_two_rebuild,
+            "swaps": crack_in_two_swaps,
+        }[kernel]
         rng = np.random.default_rng(3)
         values = rng.integers(0, 1000, 3000)
-        bounded = CrackedColumn.from_arrays(
-            values, kernel=kernel, crack_threshold=64
-        )
+        bounded = CrackedColumn.from_arrays(values, crack_threshold=64)
         reference = CrackedColumn.from_arrays(values)
         for _ in range(40):
             low = int(rng.integers(0, 1000))
@@ -127,6 +138,11 @@ class TestThresholdBoundedCracking:
             left = bounded.range_select(low, high)
             right = reference.range_select(low, high)
             assert sorted(left.oids.tolist()) == sorted(right.oids.tolist())
+            oracle_values = values.astype(np.int64)
+            oracle_oids = np.arange(len(values), dtype=np.int64)
+            start = crack(oracle_values, oracle_oids, 0, len(values), low, KIND_LT)
+            stop = crack(oracle_values, oracle_oids, start, len(values), high, KIND_LT)
+            assert sorted(left.oids.tolist()) == sorted(oracle_oids[start:stop].tolist())
         bounded.check_invariants()
 
 
@@ -172,8 +188,9 @@ class TestCopyOnDemandSnapshots:
         assert np.array_equal(values, frozen)
 
     def test_noncontiguous_snapshot_returns_self(self):
-        column = CrackedColumn.from_arrays(np.arange(100))
-        result = column.range_select(10, 20, crack=False)
+        # Below the threshold the bound's piece is scanned: a gathered answer.
+        column = CrackedColumn.from_arrays(np.arange(100), crack_threshold=200)
+        result = column.range_select(10, 20)
         assert not result.contiguous
         assert result.snapshot() is result
 

@@ -7,7 +7,6 @@ from repro.benchmark import DBtapestry, MQS, homerun_sequence, run_sequence
 from repro.core import (
     CrackedColumn,
     LineageGraph,
-    fuse_to,
     psi_crack,
     wedge_crack,
     xi_crack_range,
@@ -70,7 +69,7 @@ class TestPaperSection3:
                 (low, high, int(np.sum((data >= low) & (data <= high))))
             )
             column.range_select(low, high, high_inclusive=True)
-        fuse_to(column, 8)
+        column.index.fuse(8)
         assert column.piece_count <= 8
         for low, high, expected in expectations:
             assert column.count_range(low, high, high_inclusive=True) == expected

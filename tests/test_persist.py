@@ -192,6 +192,46 @@ class TestStateCodecs:
         assert sorted(left.oids.tolist()) == sorted(right.oids.tolist())
         clone.check_invariants()
 
+    @pytest.mark.parametrize("kind", ["single", "sharded"])
+    def test_legacy_kernel_keys_ignored_on_restore(self, kind):
+        """Older checkpoints carry per-column ``kernel`` and
+        ``crack_in_three_enabled`` settings; restore ignores them and the
+        column answers like a fresh one."""
+        from repro.persist.snapshot import pack_cracker, unpack_cracker
+
+        values = np.random.default_rng(5).permutation(600)
+
+        def build():
+            if kind == "single":
+                return CrackedColumn.from_arrays(values)
+            return ShardedCrackedColumn.from_arrays(values, shards=2, parallel=False)
+
+        def write(column):
+            column.append([700, 701])
+            column.delete([3, 4], values[[3, 4]])
+            column.update([10], [650], values[[10]])
+
+        column, fresh = build(), build()
+        column.range_select(100, 300)
+        column.range_select(450, None)
+        write(column)
+        write(fresh)
+        arrays, meta = pack_cracker(column)
+        legacy = {"kernel": "swaps", "crack_in_three_enabled": False}
+        for single_meta in meta["shards"] if kind == "sharded" else [meta]:
+            assert "kernel" not in single_meta
+            assert "crack_in_three_enabled" not in single_meta
+            single_meta.update(legacy)
+        restored = unpack_cracker(meta, arrays)
+        restored.check_invariants()
+        assert restored.piece_count == column.piece_count
+        for low, high in [(0, 50), (120, 280), (290, 460), (600, None), (None, 20)]:
+            left = restored.range_select(low, high)
+            right = fresh.range_select(low, high)
+            assert sorted(left.oids.tolist()) == sorted(right.oids.tolist())
+            assert sorted(left.values.tolist()) == sorted(right.values.tolist())
+        restored.check_invariants()
+
     def test_cracker_index_state_rejects_corruption(self):
         column = CrackedColumn.from_arrays(np.arange(100)[::-1].copy())
         column.range_select(20, 60)
